@@ -21,10 +21,7 @@ namespace {
 double
 measureMqxVariantNtt(const ntt::NttPrime& prime, size_t n, MqxVariant v)
 {
-    // Direct plan: the blocked driver would run its twiddle fixup with
-    // the Full-MQX vmulShoup regardless of the ablated variant, and its
-    // transposes are not part of the Fig. 6 instruction mix.
-    ntt::NttPlan plan(prime, n, /*l2_budget=*/0);
+    ntt::NttPlan plan(prime, n);
     auto input_u = randomResidues(n, prime.q, 0xf16 + n);
     ResidueVector in = ResidueVector::fromU128(input_u);
     ResidueVector out(n), scratch(n);

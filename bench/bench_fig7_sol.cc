@@ -122,7 +122,7 @@ main()
     }
 
     // Fused-NTT bandwidth vs the DRAM ceiling at n = 2^16: how much of
-    // the roofline the stage-fused / four-step kernels actually use.
+    // the roofline the radix-2 and stage-fused kernels actually use.
     // bytesSweptPerTransform is the analytic sweep model (plan.h); the
     // achieved GB/s divides it by the measured single-transform time,
     // and sol::dramFloorNs turns the same byte count into the absolute
@@ -130,8 +130,7 @@ main()
     {
         const size_t n = size_t{1} << 16;
         Backend be = bestBackend();
-        ntt::NttPlan direct(prime, n, /*l2_budget=*/0);
-        ntt::NttPlan blocked(prime, n, /*l2_budget=*/1 << 20);
+        ntt::NttPlan direct(prime, n);
         auto input_u = randomResidues(n, prime.q, 0xf00d);
         ResidueVector in = ResidueVector::fromU128(input_u);
         ResidueVector out(n), scratch(n);
@@ -156,8 +155,6 @@ main()
              direct.bytesSweptPerTransform(StageFusion::Radix2)},
             {"radix-4 fused", measure(direct, StageFusion::Radix4),
              direct.bytesSweptPerTransform(StageFusion::Radix4)},
-            {"four-step blocked", measure(blocked, StageFusion::Radix4),
-             blocked.bytesSweptPerTransform(StageFusion::Radix4)},
         };
         TextTable bw("Fused-NTT sweep bandwidth vs DRAM ceilings, n = 2^16 (" +
                      backendName(be) + ")");
@@ -176,10 +173,9 @@ main()
         }
         bw.print();
         std::printf("  The radix-4 sweep model halves the bytes (and the\n"
-                    "  DRAM floor); the blocked decomposition caps them at\n"
-                    "  5 sweeps regardless of logn — the gap between the\n"
-                    "  measured column and the floors is the compute share\n"
-                    "  of the double-word butterflies on this host.\n\n");
+                    "  DRAM floor); the gap between the measured column\n"
+                    "  and the floors is the compute share of the\n"
+                    "  double-word butterflies on this host.\n\n");
     }
 
     // Single-core gap to the ASIC (Section 5/Intro claim).

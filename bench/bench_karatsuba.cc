@@ -17,7 +17,7 @@ namespace {
 double
 measureNttAlgo(Backend be, const ntt::NttPrime& prime, size_t n, MulAlgo algo)
 {
-    ntt::NttPlan plan(prime, n, /*l2_budget=*/0); // direct: 5.5 ablation
+    ntt::NttPlan plan(prime, n);
     auto input_u = randomResidues(n, prime.q, 0x5e5);
     ResidueVector in = ResidueVector::fromU128(input_u);
     ResidueVector out(n), scratch(n);

@@ -20,7 +20,7 @@ main()
     const auto& prime = ntt::defaultBenchPrime();
     const size_t n = 1u << 14; // Section 5.2
 
-    ntt::NttPlan plan(prime, n, /*l2_budget=*/0); // direct: Table 6 mix
+    ntt::NttPlan plan(prime, n);
     auto input_u = randomResidues(n, prime.q, 0x7ab1e6);
     ResidueVector in = ResidueVector::fromU128(input_u);
     ResidueVector out(n), scratch(n);

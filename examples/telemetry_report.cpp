@@ -1,9 +1,9 @@
 /**
  * @file
- * Wall-time attribution report for a blocked large-n polymul.
+ * Wall-time attribution report for a large-n polymul.
  *
- * Runs a warmed negacyclic polymul at n = 2^16 (the four-step blocked
- * NTT path) on a serial engine, then breaks the measured wall time down
+ * Runs a warmed negacyclic polymul at n = 2^16 (direct Pease NTT
+ * plans) on a serial engine, then breaks the measured wall time down
  * by telemetry span SELF time — duration minus same-thread child span
  * durations — so the table's percentages sum to (at most) 100% instead
  * of double-counting nested phases. Because self times partition each
@@ -66,7 +66,7 @@ main(int argc, char** argv)
     auto b = rns::randomPolynomial(basis, n, 0xB0B);
     rns::RnsPolynomial c(basis, n);
 
-    std::printf("blocked negacyclic polymul: n = %zu, %zu channels, "
+    std::printf("negacyclic polymul: n = %zu, %zu channels, "
                 "backend %s, serial engine\n",
                 n, basis.size(), backendName(engine.backend()).c_str());
 
@@ -87,13 +87,11 @@ main(int argc, char** argv)
     // coverage check below is what notices when a new hot phase ships
     // without a span (or without being added here).
     const char* kSites[] = {
-        "engine.polymul",        "rns.channel.polymul",
-        "negacyclic.polymul",    "negacyclic.forward",
-        "negacyclic.twist",      "negacyclic.inverse",
-        "negacyclic.untwist",    "negacyclic.pointwise",
-        "ntt.forward",           "ntt.inverse",
-        "ntt.blocked.transpose", "ntt.blocked.cols",
-        "ntt.blocked.rows",      "ntt.blocked.fixup",
+        "engine.polymul",     "rns.channel.polymul",
+        "negacyclic.polymul", "negacyclic.forward",
+        "negacyclic.twist",   "negacyclic.inverse",
+        "negacyclic.untwist", "negacyclic.pointwise",
+        "ntt.forward",        "ntt.inverse",
         "plancache.build",
     };
 

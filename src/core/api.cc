@@ -79,11 +79,8 @@ bestBackend()
         return Backend::Avx512;
     if (backendAvailable(Backend::Avx2))
         return Backend::Avx2;
-    // No SIMD: prefer Portable — it models the 8-lane SIMD kernels in
-    // plain C++, so dispatch exercises the same algorithms (and data
-    // layout) as the vector tiers — before the last-resort Scalar path.
-    if (backendAvailable(Backend::Portable))
-        return Backend::Portable;
+    // No SIMD: Scalar. Portable (the plain-C++ model of the 8-lane
+    // kernels) is 3.6-5.1x slower at every n in BENCH_ntt.json.
     return Backend::Scalar;
 }
 

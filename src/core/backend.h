@@ -70,10 +70,10 @@ enum class Reduction
  *
  * Auto (the public-API default) resolves to the measured-fastest shape
  * for the (backend, n) pair via ntt::resolveStageFusion():
- * BENCH_ntt.json shows fusion is a pure win on Scalar (~1.1-1.2x at
- * every n) but slightly regresses the vector backends below the largest
- * sizes (fused_speedup 0.93-0.99 at n <= 16384), where the extra
- * shuffle work outweighs the saved sweeps. Backends never see Auto —
+ * BENCH_ntt.json shows fusion is a win on Scalar (~1.1-1.25x at every
+ * n); Auto also fuses AVX2 at n >= 65536, where it is within a few
+ * percent. On AVX-512, MQX and Portable the extra shuffle work
+ * outweighs the saved sweeps. Backends never see Auto —
  * the dispatcher resolves it first.
  */
 enum class StageFusion
@@ -111,7 +111,10 @@ std::vector<Backend> correctBackends();
  */
 bool backendAvailable(Backend b);
 
-/** Best available correct backend for production dispatch. */
+/**
+ * Best available correct backend for production dispatch: AVX-512, then
+ * AVX2, then Scalar.
+ */
 Backend bestBackend();
 
 } // namespace mqx

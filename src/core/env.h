@@ -12,6 +12,9 @@
  * @p fallback and noting the event once per variable in telemetry
  * (counter `env.fallback.<VAR>`) so operators can see a typoed knob in
  * `snapshotJson()` instead of debugging a mystery thread count.
+ *
+ * This header is the only place in src/ that reads the environment
+ * (mqxlint rule raw-getenv).
  */
 #pragma once
 
@@ -19,6 +22,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <mutex>
 #include <set>
 #include <string>
@@ -70,6 +74,23 @@ envUint(const char* var, uint64_t fallback, uint64_t min_ok = 0,
         return fallback;
     }
     return static_cast<uint64_t>(v);
+}
+
+/**
+ * True when @p var is set to exactly one of @p values; unset or any
+ * other value is false. For on/off switches whose default is "on".
+ */
+inline bool
+envIsOneOf(const char* var, std::initializer_list<const char*> values)
+{
+    const char* env = std::getenv(var);
+    if (!env)
+        return false;
+    for (const char* v : values) {
+        if (std::strcmp(env, v) == 0)
+            return true;
+    }
+    return false;
 }
 
 } // namespace core

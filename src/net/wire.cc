@@ -126,6 +126,23 @@ class Writer
         out_.insert(out_.end(), p, p + n);
     }
 
+    /** Grow the frame by @p n bytes and return where they start. */
+    uint8_t*
+    extend(size_t n)
+    {
+        const size_t at = out_.size();
+        out_.resize(at + n);
+        return out_.data() + at;
+    }
+
+    /** Little-endian store; compilers merge the shifts into one move. */
+    static void
+    storeU64(uint8_t* p, uint64_t v)
+    {
+        for (int b = 0; b < 8; ++b)
+            p[b] = static_cast<uint8_t>(v >> (8 * b));
+    }
+
   private:
     std::vector<uint8_t>& out_;
 };
@@ -137,13 +154,15 @@ badFrame(const char* what)
                           std::string("wire: ") + what);
 }
 
+/** Each residue as (u64 lo, u64 hi), into one bulk extension. */
 void
 writeResidues(Writer& w, const ResidueVector& v)
 {
-    for (size_t i = 0; i < v.size(); ++i) {
-        const U128 r = v.at(i);
-        w.u64(r.lo);
-        w.u64(r.hi);
+    const DConstSpan s = v.span();
+    uint8_t* p = w.extend(s.n * 16);
+    for (size_t i = 0; i < s.n; ++i, p += 16) {
+        Writer::storeU64(p, s.lo[i]);
+        Writer::storeU64(p + 8, s.hi[i]);
     }
 }
 

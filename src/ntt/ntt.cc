@@ -22,31 +22,6 @@ requireAvailable(Backend backend)
     }
 }
 
-/** Route descriptor for the four-step blocked driver (blocked.cc). */
-detail::BlockedRoute
-makeRoute(Backend backend)
-{
-    detail::BlockedRoute route;
-    route.backend = backend;
-    if (backend == Backend::MqxEmulate || backend == Backend::MqxPisa) {
-        route.use_mqx = true;
-        route.pisa = backend == Backend::MqxPisa;
-    }
-    return route;
-}
-
-// Referenced only when the MQX TUs are compiled in.
-[[maybe_unused]] detail::BlockedRoute
-makeRoute(MqxVariant variant, bool pisa)
-{
-    detail::BlockedRoute route;
-    route.backend = pisa ? Backend::MqxPisa : Backend::MqxEmulate;
-    route.use_mqx = true;
-    route.variant = variant;
-    route.pisa = pisa;
-    return route;
-}
-
 } // namespace
 
 StageFusion
@@ -54,17 +29,18 @@ resolveStageFusion(Backend backend, size_t n, StageFusion fusion)
 {
     if (fusion != StageFusion::Auto)
         return fusion;
-    // BENCH_ntt.json (committed): Scalar fused_speedup is 1.11-1.21x at
-    // every measured n, so it always fuses. Every vector/MQX tier
-    // measures 0.93-0.999 below n = 65536 (the shuffle-heavy fused
-    // bodies lose to the plain radix-2 sweeps while the working set is
-    // cache-resident) and is neutral at 65536, where fewer sweeps start
-    // to matter — so they keep radix-2 below that threshold.
-    if (backend == Backend::Scalar)
+    // BENCH_ntt.json: Scalar fused_speedup is 1.11-1.27x at every
+    // measured n, so it always fuses. AVX-512 loses at every n
+    // (0.85-0.96x), so it and the MQX tiers, which run the AVX-512
+    // bodies, keep radix-2, as does Portable (0.90-0.98x). AVX2 is
+    // within a few percent either way (0.89-1.06x at n = 65536 across
+    // regenerations); it fuses from 65536, the size where an earlier
+    // committed run measured its only gain (1.04x).
+    constexpr size_t kAvx2Radix4MinN = 65536;
+    if (backend == Backend::Scalar ||
+        (backend == Backend::Avx2 && n >= kAvx2Radix4MinN))
         return StageFusion::Radix4;
-    constexpr size_t kVectorRadix4MinN = 65536;
-    return n >= kVectorRadix4MinN ? StageFusion::Radix4
-                                  : StageFusion::Radix2;
+    return StageFusion::Radix2;
 }
 
 void
@@ -74,11 +50,6 @@ forward(const NttPlan& plan, Backend backend, DConstSpan in, DSpan out,
     MQX_SCOPED_SPAN(ntt_span, "ntt.forward");
     requireAvailable(backend);
     fusion = resolveStageFusion(backend, plan.n(), fusion);
-    if (plan.blocked()) {
-        detail::blockedForward(plan, makeRoute(backend), in, out, scratch,
-                               algo, red, fusion);
-        return;
-    }
     switch (backend) {
       case Backend::Scalar:
         backends::forwardScalar(plan, in, out, scratch, algo, red, fusion);
@@ -128,11 +99,6 @@ inverse(const NttPlan& plan, Backend backend, DConstSpan in, DSpan out,
     MQX_SCOPED_SPAN(ntt_span, "ntt.inverse");
     requireAvailable(backend);
     fusion = resolveStageFusion(backend, plan.n(), fusion);
-    if (plan.blocked()) {
-        detail::blockedInverse(plan, makeRoute(backend), in, out, scratch,
-                               algo, red, fusion);
-        return;
-    }
     switch (backend) {
       case Backend::Scalar:
         backends::inverseScalar(plan, in, out, scratch, algo, red, fusion);
@@ -229,11 +195,6 @@ forwardMqx(const NttPlan& plan, MqxVariant variant, bool pisa, DConstSpan in,
     fusion = resolveStageFusion(pisa ? Backend::MqxPisa : Backend::MqxEmulate,
                                 plan.n(), fusion);
 #if MQX_BUILD_AVX512
-    if (plan.blocked()) {
-        detail::blockedForward(plan, makeRoute(variant, pisa), in, out,
-                               scratch, algo, red, fusion);
-        return;
-    }
     backends::forwardMqxImpl(plan, variant, pisa, in, out, scratch, algo,
                              red, fusion);
 #else
@@ -259,11 +220,6 @@ inverseMqx(const NttPlan& plan, MqxVariant variant, bool pisa, DConstSpan in,
     fusion = resolveStageFusion(pisa ? Backend::MqxPisa : Backend::MqxEmulate,
                                 plan.n(), fusion);
 #if MQX_BUILD_AVX512
-    if (plan.blocked()) {
-        detail::blockedInverse(plan, makeRoute(variant, pisa), in, out,
-                               scratch, algo, red, fusion);
-        return;
-    }
     backends::inverseMqxImpl(plan, variant, pisa, in, out, scratch, algo,
                              red, fusion);
 #else
@@ -299,7 +255,7 @@ batchInterleave(Backend backend)
 bool
 batchSupported(const NttPlan& plan)
 {
-    return plan.blocked() == nullptr && plan.n() >= 16;
+    return plan.n() >= 16;
 }
 
 namespace {
@@ -323,7 +279,7 @@ forwardBatch(const NttPlan& plan, Backend backend, size_t il, DConstSpan in,
     MQX_SCOPED_SPAN(ntt_span, "ntt.forward_batch");
     requireAvailable(backend);
     checkArg(batchSupported(plan),
-             "forwardBatch: plan not batch-eligible (blocked or too small)");
+             "forwardBatch: plan too small for the batch kernels (n < 16)");
     noteBatchSweep(plan, il);
     switch (backend) {
       case Backend::Scalar:
@@ -372,7 +328,7 @@ inverseBatch(const NttPlan& plan, Backend backend, size_t il, DConstSpan in,
     MQX_SCOPED_SPAN(ntt_span, "ntt.inverse_batch");
     requireAvailable(backend);
     checkArg(batchSupported(plan),
-             "inverseBatch: plan not batch-eligible (blocked or too small)");
+             "inverseBatch: plan too small for the batch kernels (n < 16)");
     noteBatchSweep(plan, il);
     switch (backend) {
       case Backend::Scalar:

@@ -7,13 +7,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <vector>
+
+#include "core/env.h"
 
 namespace mqx {
 namespace telemetry {
@@ -32,11 +32,7 @@ namespace {
 bool
 envDisabled()
 {
-    const char* env = std::getenv("MQX_TELEMETRY");
-    if (!env)
-        return false;
-    return std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0 ||
-           std::strcmp(env, "OFF") == 0;
+    return core::envIsOneOf("MQX_TELEMETRY", {"0", "off", "OFF"});
 }
 
 std::atomic<bool>&

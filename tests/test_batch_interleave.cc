@@ -95,8 +95,7 @@ TEST(BatchLayout, PackUnpackRoundTripsOddLaneCount)
 
 TEST(BatchLayout, PackUnpackRoundTripsLargeN)
 {
-    // n = 2^16 is the size where the per-channel path goes through the
-    // blocked four-step driver; the layout itself is size-agnostic.
+    // n = 2^16, the FHE-scale size; the layout itself is size-agnostic.
     const size_t n = 1u << 16, lanes = 3, il = 8;
     const BatchLayout layout(n, lanes, il);
     std::vector<ResidueVector> src, dst;
@@ -264,18 +263,15 @@ TEST(BatchNtt, ValidatesArguments)
     const ntt::NttPlan plan(testPrime(), 64);
     ResidueVector in(il * 64), out(il * 64), scratch(il * 64);
 
-    // Batch-ineligible plans are rejected: too small...
+    // Plans below 16 points are rejected; every larger plan is eligible.
     const ntt::NttPlan tiny(testPrime(), 8);
     EXPECT_FALSE(ntt::batchSupported(tiny));
     ResidueVector t8(il * 8);
     EXPECT_THROW(ntt::forwardBatch(tiny, be, il, t8.span(), t8.span(),
                                    t8.span()),
                  InvalidArgument);
-    // ...and blocked (tiny L2 budget forces the four-step driver).
-    const ntt::NttPlan blocked(testPrime(), 1u << 12, /*l2_budget=*/1024);
-    if (blocked.blocked() != nullptr) {
-        EXPECT_FALSE(ntt::batchSupported(blocked));
-    }
+    EXPECT_TRUE(ntt::batchSupported(plan));
+    EXPECT_TRUE(ntt::batchSupported(ntt::NttPlan(testPrime(), 1u << 15)));
 
     // Wrong buffer sizes.
     ResidueVector short_buf(il * 64 - 8);
@@ -376,22 +372,27 @@ TEST(EngineBatch, FmaBatchMatchesSerialOracle)
 TEST(StageFusionAuto, ResolvesMeasuredThresholds)
 {
     using ntt::resolveStageFusion;
-    // Scalar fuses at every size (BENCH fused_speedup 1.11-1.21x).
-    for (size_t n : {size_t{16}, size_t{4096}, size_t{65536}, size_t{1}
-                     << 17}) {
+    const size_t sizes[] = {16, 4096, 16384, 65536, size_t{1} << 17};
+    // Scalar fuses at every size (BENCH fused_speedup 1.11-1.27x).
+    for (size_t n : sizes) {
         EXPECT_EQ(resolveStageFusion(Backend::Scalar, n, StageFusion::Auto),
                   StageFusion::Radix4);
     }
-    // Vector/MQX tiers keep radix-2 below n = 65536 and fuse at and
-    // above it (fused_speedup 0.93-0.999 below the threshold).
-    for (Backend be : {Backend::Portable, Backend::Avx2, Backend::Avx512,
+    // AVX2 fuses only from n = 65536.
+    EXPECT_EQ(resolveStageFusion(Backend::Avx2, 16384, StageFusion::Auto),
+              StageFusion::Radix2);
+    EXPECT_EQ(resolveStageFusion(Backend::Avx2, 65536, StageFusion::Auto),
+              StageFusion::Radix4);
+    EXPECT_EQ(resolveStageFusion(Backend::Avx2, 1u << 17, StageFusion::Auto),
+              StageFusion::Radix4);
+    // Every other tier keeps radix-2 at every size.
+    for (Backend be : {Backend::Portable, Backend::Avx512,
                        Backend::MqxEmulate, Backend::MqxPisa}) {
-        EXPECT_EQ(resolveStageFusion(be, 16384, StageFusion::Auto),
-                  StageFusion::Radix2)
-            << backendName(be);
-        EXPECT_EQ(resolveStageFusion(be, 65536, StageFusion::Auto),
-                  StageFusion::Radix4)
-            << backendName(be);
+        for (size_t n : sizes) {
+            EXPECT_EQ(resolveStageFusion(be, n, StageFusion::Auto),
+                      StageFusion::Radix2)
+                << backendName(be) << " n=" << n;
+        }
     }
     // Explicit shapes pass through untouched on every backend.
     EXPECT_EQ(resolveStageFusion(Backend::Avx2, 64, StageFusion::Radix4),

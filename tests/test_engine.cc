@@ -98,6 +98,16 @@ TEST(Integration, BackendAvailabilityIsConsistent)
     EXPECT_NE(bestBackend(), Backend::MqxPisa);
 }
 
+TEST(Integration, BestBackendFallsBackToScalarWithoutSimd)
+{
+    // Hosts (or builds) without AVX2 and AVX-512 run Scalar, never the
+    // slower Portable model of the SIMD lanes.
+    if (backendAvailable(Backend::Avx2) || backendAvailable(Backend::Avx512))
+        GTEST_SKIP() << "SIMD backend available; covered by the "
+                        "portable-only build";
+    EXPECT_EQ(bestBackend(), Backend::Scalar);
+}
+
 TEST(Integration, BackendNamesAreUnique)
 {
     std::vector<std::string> names;

@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <random>
+#include <string>
+#include <utility>
 
 #include "ntt/ntt.h"
 #include "ntt/reference_ntt.h"
@@ -325,7 +328,7 @@ TEST_P(NttBackend, Radix4BitIdenticalToRadix2)
     Backend be = GetParam();
     for (size_t n : {4u, 8u, 16u, 32u, 64u, 128u, 256u, 512u, 1024u, 2048u,
                      4096u}) {
-        ntt::NttPlan plan(testPrime(), n, /*l2_budget=*/0);
+        ntt::NttPlan plan(testPrime(), n);
         auto input = randomResidues(n, testPrime().q, 7777 + n);
         for (Reduction red : {Reduction::ShoupLazy, Reduction::Barrett}) {
             auto fwd4 = runForward(plan, be, input, MulAlgo::Schoolbook, red,
@@ -351,7 +354,7 @@ TEST_P(NttBackend, Radix4BitIdenticalOnWideModulus)
     Backend be = GetParam();
     const auto& prime = ntt::defaultBenchPrime();
     for (size_t n : {128u, 256u}) { // odd and even logn
-        ntt::NttPlan plan(prime, n, /*l2_budget=*/0);
+        ntt::NttPlan plan(prime, n);
         auto input = randomResidues(n, prime.q, 4242 + n);
         auto fwd4 = runForward(plan, be, input, MulAlgo::Schoolbook,
                                Reduction::ShoupLazy, StageFusion::Radix4);
@@ -364,59 +367,29 @@ TEST_P(NttBackend, Radix4BitIdenticalOnWideModulus)
     }
 }
 
-TEST(NttBlockedPlan, DecompositionAndAccounting)
+TEST(NttPlan, SweepAndTwiddleAccounting)
 {
-    // A budget smaller than the working set forces the four-step
-    // decomposition; budget 0 disables it; the default budget keeps
-    // small transforms direct.
-    ntt::NttPlan direct(testPrime(), 256, /*l2_budget=*/0);
-    EXPECT_EQ(direct.blocked(), nullptr);
-    ntt::NttPlan small_default(testPrime(), 256);
-    EXPECT_EQ(small_default.blocked(), nullptr);
-
-    ntt::NttPlan blocked(testPrime(), 256, /*l2_budget=*/1024);
-    ASSERT_NE(blocked.blocked(), nullptr);
-    const auto* blk = blocked.blocked();
-    EXPECT_EQ(blk->n1 * blk->n2, 256u);
-    EXPECT_GE(blk->n1, blk->n2);
-    EXPECT_EQ(blk->col->n(), blk->n1);
-    EXPECT_EQ(blk->row->n(), blk->n2);
-    // Sub-plans carry the composing roots omega^n2 / omega^n1.
-    const Modulus& m = blocked.modulus();
-    EXPECT_EQ(blk->col->omega(),
-              m.pow(blocked.omega(), U128{blk->n2}));
-    EXPECT_EQ(blk->row->omega(),
-              m.pow(blocked.omega(), U128{blk->n1}));
-    // Sub-transforms never block recursively.
-    EXPECT_EQ(blk->col->blocked(), nullptr);
-    EXPECT_EQ(blk->row->blocked(), nullptr);
-    // twiddleBytes accounts the fixup tables (8 arrays of n words:
-    // value + companion, hi/lo, both directions) and both sub-plans on
-    // top of the direct plan's own tables.
-    EXPECT_EQ(blocked.twiddleBytes(),
-              direct.twiddleBytes() + 8u * 256 * sizeof(uint64_t) +
-                  blk->col->twiddleBytes() + blk->row->twiddleBytes());
-
-    // Swept-bytes model: radix-4 halves the sweeps, blocking caps them.
-    EXPECT_EQ(direct.bytesSweptPerTransform(StageFusion::Radix2),
+    // Compact tables: 8 arrays (fwd/inv x value/Shoup x hi/lo) of n/2
+    // words. Swept-bytes model: one 32n-byte pass per stage, radix-4
+    // halves the passes.
+    ntt::NttPlan plan(testPrime(), 256);
+    EXPECT_EQ(plan.twiddleBytes(), 8u * 128 * sizeof(uint64_t));
+    EXPECT_EQ(plan.bytesSweptPerTransform(StageFusion::Radix2),
               32u * 256 * 8);
-    EXPECT_EQ(direct.bytesSweptPerTransform(StageFusion::Radix4),
+    EXPECT_EQ(plan.bytesSweptPerTransform(StageFusion::Radix4),
               32u * 256 * 4);
-    EXPECT_EQ(blocked.bytesSweptPerTransform(StageFusion::Radix4),
-              5u * 32 * 256);
 }
 
-TEST(NttBlockedPlan, ExplicitOmegaValidation)
+TEST(NttPlan, ZeroThirdArgumentBuildsTheDirectPlan)
 {
-    // The explicit-omega constructor rejects roots of the wrong order.
-    Modulus m(testPrime().q);
-    ntt::NttPlan base(testPrime(), 16);
-    EXPECT_NO_THROW(ntt::NttPlan(m, 16, base.omega(), size_t{0}));
-    // omega^2 has order 8, not 16.
-    EXPECT_THROW(ntt::NttPlan(m, 16, m.mul(base.omega(), base.omega()),
-                              size_t{0}),
+    // The three-argument NttPrime form is kept for source compatibility
+    // only: 0 yields the ordinary plan, anything else is rejected.
+    ntt::NttPlan plan(testPrime(), 64);
+    ntt::NttPlan compat(testPrime(), 64, size_t{0});
+    EXPECT_EQ(compat.omega(), plan.omega());
+    EXPECT_EQ(compat.twiddleBytes(), plan.twiddleBytes());
+    EXPECT_THROW(ntt::NttPlan(testPrime(), 64, size_t{1024}),
                  InvalidArgument);
-    EXPECT_THROW(ntt::NttPlan(m, 16, U128{1}, size_t{0}), InvalidArgument);
 }
 
 TEST(NttPlan, StageTwiddlePairIndexing)
@@ -437,105 +410,86 @@ TEST(NttPlan, StageTwiddlePairIndexing)
     }
 }
 
-TEST_P(NttBackend, BlockedBitIdenticalToDirect)
+/**
+ * X[k] = sum_j x_j * omega^(j*k) mod q by direct O(n) evaluation — the
+ * definition the forward transform must reproduce, independent of any
+ * butterfly kernel.
+ */
+U128
+evaluateAt(const Modulus& m, const std::vector<U128>& x, const U128& omega,
+           size_t k)
 {
-    // Word-identical four-step decomposition on every compiled backend,
-    // odd and even logn, both reduction modes — at sizes small enough
-    // to keep the full matrix fast (the LargeN suite covers 2^16/2^17).
-    Backend be = GetParam();
-    for (size_t n : {64u, 128u, 256u, 1024u}) {
-        ntt::NttPlan direct(testPrime(), n, /*l2_budget=*/0);
-        ntt::NttPlan blocked(testPrime(), n, /*l2_budget=*/1024);
-        ASSERT_NE(blocked.blocked(), nullptr);
-        auto input = randomResidues(n, testPrime().q, 31 + n);
-        for (Reduction red : {Reduction::ShoupLazy, Reduction::Barrett}) {
-            auto fwd_d = runForward(direct, be, input, MulAlgo::Schoolbook,
-                                    red);
-            auto fwd_b = runForward(blocked, be, input, MulAlgo::Schoolbook,
-                                    red);
-            EXPECT_EQ(fwd_b, fwd_d) << "forward n=" << n
-                                    << " backend=" << backendName(be);
-            auto inv_d = runInverse(direct, be, fwd_d, MulAlgo::Schoolbook,
-                                    red);
-            auto inv_b = runInverse(blocked, be, fwd_d, MulAlgo::Schoolbook,
-                                    red);
-            EXPECT_EQ(inv_b, inv_d) << "inverse n=" << n
-                                    << " backend=" << backendName(be);
-            EXPECT_EQ(inv_b, input) << "roundtrip n=" << n;
-        }
+    const U128 step = m.pow(omega, U128{static_cast<uint64_t>(k)});
+    U128 acc{0}, w{1};
+    for (const U128& xj : x) {
+        acc = m.add(acc, m.mul(xj, w));
+        w = m.mul(w, step);
     }
+    return acc;
 }
 
-TEST(NttLargeN, BlockedAndRadix4IdenticalAtRealFheSizes)
+/**
+ * The realistic FHE sizes n = 2^16 (even logn) and 2^17 (odd logn) on
+ * every compiled backend: radix-2, fused radix-4 and Barrett agree word
+ * for word, the inverse undoes the forward, and seeded output positions
+ * match the transform's definition.
+ */
+void
+checkLargeN(const ntt::NttPrime& prime, uint64_t seed)
 {
-    // The raised size ceiling: n = 2^16 (even logn) and 2^17 (odd logn)
-    // — the realistic FHE sizes — on every compiled backend. Default
-    // plans at these sizes are blocked (48n > 1 MiB); compare against
-    // the forced-direct radix-2 path.
+    const Modulus m(prime.q);
     for (size_t n : {size_t{1} << 16, size_t{1} << 17}) {
-        ntt::NttPlan direct(testPrime(), n, /*l2_budget=*/0);
-        ntt::NttPlan blocked(testPrime(), n);
-        ASSERT_NE(blocked.blocked(), nullptr) << "n=" << n;
-        auto input = randomResidues(n, testPrime().q, 90000 + n);
+        SCOPED_TRACE("n=" + std::to_string(n));
+        ntt::NttPlan plan(prime, n);
+        auto input = randomResidues(n, prime.q, seed + n);
+
+        std::mt19937_64 rng(seed ^ n);
+        std::vector<std::pair<size_t, U128>> expect;
+        for (int t = 0; t < 8; ++t) {
+            const size_t k = rng() % n;
+            expect.emplace_back(k, evaluateAt(m, input, plan.omega(), k));
+        }
+
         for (Backend be : availableCorrectBackends()) {
             SCOPED_TRACE(backendName(be));
-            auto fwd2 = runForward(direct, be, input, MulAlgo::Schoolbook,
+            auto fwd2 = runForward(plan, be, input, MulAlgo::Schoolbook,
                                    Reduction::ShoupLazy,
                                    StageFusion::Radix2);
-            auto fwd4 = runForward(direct, be, input, MulAlgo::Schoolbook,
-                                   Reduction::ShoupLazy,
-                                   StageFusion::Radix4);
-            auto fwdb = runForward(blocked, be, input);
-            EXPECT_EQ(fwd4, fwd2) << "radix4 fwd n=" << n;
-            EXPECT_EQ(fwdb, fwd2) << "blocked fwd n=" << n;
-            auto inv2 = runInverse(direct, be, fwd2, MulAlgo::Schoolbook,
+            EXPECT_EQ(runForward(plan, be, input, MulAlgo::Schoolbook,
+                                 Reduction::ShoupLazy, StageFusion::Radix4),
+                      fwd2);
+            EXPECT_EQ(runForward(plan, be, input, MulAlgo::Schoolbook,
+                                 Reduction::Barrett),
+                      fwd2);
+            // Forward output is bit-reversed: X[k] sits at bitrev(k).
+            const auto natural = bitReverse(fwd2);
+            for (const auto& [k, want] : expect)
+                EXPECT_EQ(natural[k], want) << "X[" << k << "]";
+
+            auto inv2 = runInverse(plan, be, fwd2, MulAlgo::Schoolbook,
                                    Reduction::ShoupLazy,
                                    StageFusion::Radix2);
-            auto inv4 = runInverse(direct, be, fwd2, MulAlgo::Schoolbook,
-                                   Reduction::ShoupLazy,
-                                   StageFusion::Radix4);
-            auto invb = runInverse(blocked, be, fwd2);
-            EXPECT_EQ(inv4, inv2) << "radix4 inv n=" << n;
-            EXPECT_EQ(invb, inv2) << "blocked inv n=" << n;
-            EXPECT_EQ(inv2, input) << "roundtrip n=" << n;
+            EXPECT_EQ(inv2, input) << "roundtrip";
+            EXPECT_EQ(runInverse(plan, be, fwd2, MulAlgo::Schoolbook,
+                                 Reduction::ShoupLazy, StageFusion::Radix4),
+                      inv2);
+            EXPECT_EQ(runInverse(plan, be, fwd2, MulAlgo::Schoolbook,
+                                 Reduction::Barrett),
+                      inv2);
         }
     }
 }
 
-TEST(NttLargeN, BarrettAgreesAtN65536)
+TEST(NttLargeN, VariantsAgreeWithDefinitionOnTestPrime)
 {
-    // One Barrett pass at 2^16 keeps the (slow) ablation baseline
-    // honest at the blocked sizes without exploding the matrix.
-    const size_t n = size_t{1} << 16;
-    ntt::NttPlan direct(testPrime(), n, /*l2_budget=*/0);
-    ntt::NttPlan blocked(testPrime(), n);
-    auto input = randomResidues(n, testPrime().q, 1234);
-    Backend be = bestBackend();
-    auto fwd_barrett = runForward(direct, be, input, MulAlgo::Schoolbook,
-                                  Reduction::Barrett);
-    EXPECT_EQ(runForward(blocked, be, input, MulAlgo::Schoolbook,
-                         Reduction::Barrett),
-              fwd_barrett);
-    EXPECT_EQ(runForward(direct, be, input), fwd_barrett);
-    EXPECT_EQ(runInverse(blocked, be, fwd_barrett, MulAlgo::Schoolbook,
-                         Reduction::Barrett),
-              input);
+    checkLargeN(testPrime(), 90000);
 }
 
-TEST(NttLargeN, WideModulusCeilingAtN65536)
+TEST(NttLargeN, VariantsAgreeWithDefinitionOnWideModulus)
 {
-    // The 124-bit modulus at a blocked size: lazy headroom, Shoup
-    // companions, and the fixup tables all at the Barrett ceiling.
-    const size_t n = size_t{1} << 16;
-    const auto& prime = ntt::defaultBenchPrime();
-    ntt::NttPlan direct(prime, n, /*l2_budget=*/0);
-    ntt::NttPlan blocked(prime, n);
-    ASSERT_NE(blocked.blocked(), nullptr);
-    auto input = randomResidues(n, prime.q, 5678);
-    Backend be = bestBackend();
-    auto fwd_d = runForward(direct, be, input);
-    EXPECT_EQ(runForward(blocked, be, input), fwd_d);
-    EXPECT_EQ(runInverse(blocked, be, fwd_d), input);
+    // The 124-bit modulus: lazy headroom and Shoup companions at the
+    // Barrett ceiling.
+    checkLargeN(ntt::defaultBenchPrime(), 5678);
 }
 
 TEST(NttMqxVariants, AllEmulatedVariantsMatchScalar)

@@ -156,6 +156,21 @@ TEST(EnvUint, MalformedValuesFallBack)
     ::unsetenv(kVar);
 }
 
+TEST(EnvIsOneOf, MatchesOnlyListedValues)
+{
+    // The MQX_TELEMETRY kill-switch shape: exact matches only.
+    const char* kVar = "MQX_TEST_ENV_SWITCH";
+    ::unsetenv(kVar);
+    EXPECT_FALSE(core::envIsOneOf(kVar, {"0", "off", "OFF"})); // unset
+    ::setenv(kVar, "off", 1);
+    EXPECT_TRUE(core::envIsOneOf(kVar, {"0", "off", "OFF"}));
+    ::setenv(kVar, "Off", 1);
+    EXPECT_FALSE(core::envIsOneOf(kVar, {"0", "off", "OFF"}));
+    ::setenv(kVar, "", 1);
+    EXPECT_FALSE(core::envIsOneOf(kVar, {"0", "off", "OFF"}));
+    ::unsetenv(kVar);
+}
+
 TEST(EnvUint, DefaultThreadCountSurvivesGarbage)
 {
     // Whatever MQX_THREADS held at process start applied to earlier

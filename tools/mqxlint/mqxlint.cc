@@ -14,7 +14,7 @@
  *   dspan-validate    every backend entry point taking a DSpan/
  *                     DConstSpan validates its arguments: calls
  *                     validateNttArgs or checkArg directly, or routes
- *                     through a pease/blocked impl (which validate on
+ *                     through a pease impl (which validate on
  *                     entry).
  *   atomic-order      every std::atomic load/store/RMW in
  *                     src/telemetry/ and src/engine/ names an explicit
@@ -41,6 +41,9 @@
  *                     fault-injection points. Inside src/net/, every
  *                     blocking-capable syscall must sit in a function
  *                     with a poll/timeout guard.
+ *   raw-getenv        no `getenv` outside core/env.h — every knob is
+ *                     parsed by the hardened helpers there, so a
+ *                     malformed value degrades the same way everywhere.
  *
  * Usage:
  *   mqxlint --repo-root <dir> [--allowlist <file>] [--fix-dry-run]
@@ -257,6 +260,7 @@ class Linter
         rulePrefetchHygiene();
         ruleCatchSwallow();
         ruleNetHygiene();
+        ruleRawGetenv();
         std::sort(diags_.begin(), diags_.end(),
                   [](const Diagnostic& a, const Diagnostic& b) {
                       return std::tie(a.file, a.line, a.rule) <
@@ -443,12 +447,9 @@ class Linter
     {
         // Satisfying calls: direct validation, or routing through an
         // impl that validates on entry — the ISA-templated pease/blas
-        // impls (`...Impl<Isa>(`), the MQX variant routers, and the
-        // blocked four-step drivers.
+        // impls (`...Impl<Isa>(`) and the MQX variant routers.
         const char* kValidators[] = {"validateNttArgs(", "checkArg(",
-                                     "Impl(",           "Impl<",
-                                     "WithVariant<",    "blockedForward(",
-                                     "blockedInverse("};
+                                     "Impl(", "Impl<", "WithVariant<"};
         for (const auto& f : files_) {
             bool in_scope = (f.rel.rfind("src/ntt/", 0) == 0 ||
                              f.rel.rfind("src/blas/", 0) == 0) &&
@@ -781,6 +782,27 @@ class Linter
         }
     }
 
+    void
+    ruleRawGetenv()
+    {
+        const std::string tok = "getenv";
+        for (const auto& f : files_) {
+            if (f.rel == "src/core/env.h")
+                continue;
+            size_t pos = 0;
+            while ((pos = f.code.find(tok, pos)) != std::string::npos) {
+                bool word = (pos == 0 || !isIdentChar(f.code[pos - 1])) &&
+                            (pos + tok.size() >= f.code.size() ||
+                             !isIdentChar(f.code[pos + tok.size()]));
+                if (word)
+                    report(f, lineOf(f.code, pos), "raw-getenv",
+                           "raw getenv outside core/env.h; read knobs "
+                           "through the core/env.h helpers");
+                pos += tok.size();
+            }
+        }
+    }
+
     /**
      * True if the function body containing @p pos has a poll call.
      * Project style opens every function body with a column-0 `{`, so
@@ -860,7 +882,8 @@ selfTest(const fs::path& fixtures)
     const char* kRules[] = {"backend-coverage", "dspan-validate",
                             "atomic-order",     "aligned-alloc",
                             "hot-modulo",       "prefetch-hygiene",
-                            "catch-swallow",    "net-hygiene"};
+                            "catch-swallow",    "net-hygiene",
+                            "raw-getenv"};
     // Pass 1: no allowlist — every rule fires exactly once.
     auto diags = Linter(fixtures, {}).run();
     printDiags(diags, false);
